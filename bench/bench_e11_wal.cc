@@ -84,13 +84,12 @@ bool RunConfig(const Config& cfg, const Workload& workload, IsoLevel level,
   for (const auto& [type, unused] : workload.paper_levels) {
     assignment[type] = level;
   }
-  CommitLog commit_log;
   ConcurrentExecutor executor(&mgr, threads);
   RetryPolicy retry;
   retry.max_attempts = 4;
   out->stats = executor.Run(
       [&](Rng& rng) { return workload.DrawFromMix(rng, assignment, level); },
-      txns, retry, &commit_log, &out->wall, seed, nullptr);
+      txns, retry, /*log=*/nullptr, &out->wall, seed, nullptr);
   out->tps = out->wall > 0 ? out->stats.committed / out->wall : 0;
 
   if (cfg.use_wal) {
@@ -170,8 +169,8 @@ int main(int argc, char** argv) {
     if (!cfg.use_wal) baseline_tps = report.tps;
     table.AddRow({cfg.name, std::to_string(report.stats.committed),
                   bench::Fmt(report.tps, 0),
-                  bench::Fmt(report.stats.LatencyPercentileUs(50), 0),
-                  bench::Fmt(report.stats.LatencyPercentileUs(99), 0),
+                  bench::Fmt(report.stats.latency_us.Percentile(50), 0),
+                  bench::Fmt(report.stats.latency_us.Percentile(99), 0),
                   std::to_string(report.stats.wal_appends),
                   std::to_string(report.stats.fsyncs),
                   std::to_string(report.stats.group_commit_batches),

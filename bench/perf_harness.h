@@ -66,9 +66,9 @@ inline PerfResult RunRounds(const Workload& w,
   out.deadlocks = merged.deadlocks;
   out.retries_exhausted = merged.retries_exhausted;
   out.tps = merged.Throughput(total_wall);
-  out.p50_us = merged.LatencyPercentileUs(50);
-  out.p95_us = merged.LatencyPercentileUs(95);
-  out.p99_us = merged.LatencyPercentileUs(99);
+  out.p50_us = merged.latency_us.Percentile(50);
+  out.p95_us = merged.latency_us.Percentile(95);
+  out.p99_us = merged.latency_us.Percentile(99);
   out.lock = merged.lock;
   return out;
 }

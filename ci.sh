@@ -171,6 +171,55 @@ assert r["server_wal_appends"] >= 1, r
 EOF
 fi
 
+# Memory soak: the daemon must hold memory for live transactions and data,
+# not for its history. It serves banking from a group-commit WAL; after a
+# warmup run its resident set (VmRSS) is read, the bench client drives at
+# least 20k commits at SNAPSHOT and 20k at SSI, and the resident set may
+# grow by at most 1 KB per commit (version chains still grow ~100 B per
+# commit until old versions are pruned). STATS counters are cumulative, so
+# only the warmup run can check counter parity (a later run reports a
+# mismatch and exits 1); a measured run must still finish without a client
+# error, which is when it writes its JSON, and keep the invariant.
+rm -rf ci_wal_soak
+rm -f semcor_serverd.port BENCH_SOAK*.json
+./build/examples/semcor_serverd --workload=banking --port=0 \
+    --port-file=semcor_serverd.port --wal-dir=ci_wal_soak --wal-fsync=group &
+serverd_pid=$!
+for _ in 1 2 3 4 5 6 7 8 9 10; do
+  test -s semcor_serverd.port && break
+  sleep 0.2
+done
+soak_port=$(cat semcor_serverd.port)
+./build/examples/semcor_bench_client --port="$soak_port" --threads=4 \
+    --txns=500 --levels=si,ssi --report-id=SOAK_warmup >/dev/null
+rss_warm_kb=$(awk '/^VmRSS/ {print $2}' "/proc/$serverd_pid/status")
+soak_commits=0
+for level in si ssi; do
+  ./build/examples/semcor_bench_client --port="$soak_port" --threads=4 \
+      --txns=6000 --levels="$level" --report-id="SOAK_$level" \
+      >/dev/null 2>&1 || true
+  report="BENCH_SOAK_$level.json"
+  committed=$(sed -n 's/.*"committed": \([0-9]*\).*/\1/p' "$report" 2>/dev/null)
+  if ! grep -q '"server_invariant_ok": 1' "$report" 2>/dev/null ||
+      [ "${committed:-0}" -lt 20000 ]; then
+    echo "ci.sh: FAIL — soak run at $level failed or committed <20k"
+    exit 1
+  fi
+  soak_commits=$((soak_commits + committed))
+done
+rss_end_kb=$(awk '/^VmRSS/ {print $2}' "/proc/$serverd_pid/status")
+kill -TERM "$serverd_pid"
+wait "$serverd_pid"
+rm -f semcor_serverd.port BENCH_SOAK*.json
+rm -rf ci_wal_soak
+growth_kb=$((rss_end_kb - rss_warm_kb))
+echo "soak: VmRSS ${rss_warm_kb} -> ${rss_end_kb} kB over ${soak_commits} commits"
+# kB of growth <= commits is the same bound as 1 KB per commit.
+if [ "$growth_kb" -gt "$soak_commits" ]; then
+  echo "ci.sh: FAIL — daemon RSS grew more than 1 KB per commit"
+  exit 1
+fi
+
 # Chaos soak: seeded fault injection at both I/O boundaries. Phase 1 drives
 # clients through the ChaosProxy (frame drops/truncation/duplication/delays/
 # splitting) against a server with statement/transaction/idle deadlines, then

@@ -40,7 +40,6 @@ struct Tally {
   long blocked_retries = 0;
   long negotiated = 0;
   long advisor_correct = 0;
-  std::vector<double> latency_us;
 
   long Committed() const {
     long n = 0;
@@ -61,8 +60,6 @@ struct Tally {
     blocked_retries += other.blocked_retries;
     negotiated += other.negotiated;
     advisor_correct += other.advisor_correct;
-    latency_us.insert(latency_us.end(), other.latency_us.begin(),
-                      other.latency_us.end());
   }
 };
 
@@ -160,12 +157,7 @@ int main(int argc, char** argv) {
             client.RunTxn("", level, {}, max_busy_retries);
         if (!run.ok()) return fail(StrCat("txn ", i), run.status());
         const TxnResult& r = run.value();
-        if (r.committed) {
-          local.commits[r.level]++;
-          local.latency_us.push_back(r.latency_us);
-        } else {
-          local.aborts[r.level]++;
-        }
+        (r.committed ? local.commits : local.aborts)[r.level]++;
         local.busy_retries += r.busy_retries;
         local.blocked_retries += r.blocked_retries;
         if (r.negotiated) local.negotiated++;

@@ -161,14 +161,14 @@ bool RunExecutorMode(const Workload& workload, const CliOptions& opts,
     for (const auto& [type, unused] : workload.paper_levels) {
       assignment[type] = level;
     }
-    CommitLog log;
     ConcurrentExecutor executor(&mgr, opts.explore.threads);
     RetryPolicy retry;
     retry.max_attempts = opts.max_retries + 1;
     double wall = 0;
     ExecStats stats = executor.Run(
         [&](Rng& rng) { return workload.DrawFromMix(rng, assignment, level); },
-        opts.exec_items, retry, &log, &wall, opts.explore.seed, faults_ptr);
+        opts.exec_items, retry, /*log=*/nullptr, &wall, opts.explore.seed,
+        faults_ptr);
     std::printf(
         "exec %s @ %s: committed=%ld aborted=%ld deadlocks=%ld "
         "fcw_conflicts=%ld injected_faults=%ld retries_exhausted=%ld "

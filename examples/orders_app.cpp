@@ -58,7 +58,7 @@ int main() {
               "throughput=%.0f txn/s p50=%.0fus\n",
               stats.committed, stats.aborted, stats.deadlocks,
               stats.fcw_conflicts, stats.Throughput(wall),
-              stats.LatencyPercentileUs(50));
+              static_cast<double>(stats.latency_us.Percentile(50)));
 
   OracleReport oracle =
       CheckSemanticCorrectness(initial, store, log, w.app.invariant);

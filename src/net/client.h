@@ -45,7 +45,6 @@ struct TxnResult {
   std::string detail;        ///< abort reason when !committed
   int busy_retries = 0;      ///< BUSY responses absorbed (admission/queue)
   int blocked_retries = 0;   ///< kBlocked step reports absorbed
-  double latency_us = 0;     ///< BEGIN sent -> terminal report received
   uint64_t backoff_ms = 0;   ///< total retry sleep this call
   bool timed_out = false;    ///< aborted by a server-side deadline
 };

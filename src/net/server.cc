@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 
 #include "common/rng.h"
@@ -62,14 +61,36 @@ std::string TimeoutFrame(TimeoutKind kind, const std::string& detail) {
   return EncodeFrame(MsgType::kTimeout, resp.Encode());
 }
 
-double PercentileUs(std::vector<double> v, double p) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  const double rank = p / 100.0 * static_cast<double>(v.size());
-  size_t idx = static_cast<size_t>(std::ceil(rank));
-  if (idx > 0) --idx;
-  if (idx >= v.size()) idx = v.size() - 1;
-  return v[idx];
+/// Instantiates `name` from BEGIN's integer wire parameters. Each key is
+/// typed by its value in the type's first analysis scenario (Bool <- value
+/// != 0). Returns nullptr for an unknown type; for a key the scenario does
+/// not declare as Int or Bool, or parameters the program cannot be built
+/// from (a key it requires is missing), also sets `error`.
+std::shared_ptr<const TxnProgram> InstantiateFromWire(
+    const Application& app, const std::string& name,
+    const std::vector<std::pair<std::string, int64_t>>& wire,
+    std::string* error) {
+  for (const TransactionType& type : app.types) {
+    if (type.name != name) continue;
+    const std::map<std::string, Value>& declared = type.analysis_scenarios[0];
+    std::map<std::string, Value> params;
+    for (const auto& [key, v] : wire) {
+      const auto it = declared.find(key);
+      if (it == declared.end() ||
+          !(it->second.is_int() || it->second.is_bool())) {
+        *error = StrCat(name, " takes no integer parameter '", key, "'");
+        return nullptr;
+      }
+      params[key] = it->second.is_bool() ? Value::Bool(v != 0) : Value::Int(v);
+    }
+    try {
+      return std::make_shared<TxnProgram>(type.make(params));
+    } catch (const std::exception& e) {
+      *error = StrCat("cannot instantiate ", name, ": ", e.what());
+      return nullptr;
+    }
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -811,19 +832,16 @@ std::string Server::HandleBegin(Session& session, const Frame& frame) {
       }
     }
   }
+  std::string bad_request = StrCat("unknown transaction type '", type, "'");
   if (!begin.params.empty()) {
-    std::map<std::string, Value> params;
-    for (const auto& [key, value] : begin.params) {
-      params[key] = Value::Int(value);
-    }
-    program = workload_.InstantiateWith(type, params);
+    program =
+        InstantiateFromWire(workload_.app, type, begin.params, &bad_request);
   } else {
     program = workload_.instantiate(type, session.rng);
   }
   if (!program) {
     release_slot();
-    return ErrorFrame(WireError::kBadRequest,
-                      StrCat("unknown transaction type '", type, "'"));
+    return ErrorFrame(WireError::kBadRequest, bad_request);
   }
 
   // Negotiate (or validate) the isolation level.
@@ -858,8 +876,7 @@ std::string Server::HandleBegin(Session& session, const Frame& frame) {
     resp.verdict = SummarizeAdvice(advice_it->second);
   }
 
-  session.run = std::make_unique<ProgramRun>(&mgr_, std::move(program), level,
-                                             &log_);
+  session.run = std::make_unique<ProgramRun>(&mgr_, std::move(program), level);
   session.txn_type = type;
   session.level_idx = static_cast<int>(level);
   session.blocked_streak = 0;
@@ -1002,12 +1019,12 @@ std::string Server::FinishTxn(Session& session, StepOutcome outcome,
       m.commits[session.level_idx]++;
       t.commits[session.level_idx]++;
       if (refuse_ack) m.commit_acks_refused++;
-      const double us =
-          std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
-              std::chrono::steady_clock::now() - session.begin_time)
-              .count();
-      m.latency_us.push_back(us);
-      t.latency_us.push_back(us);
+      const int64_t us = std::chrono::duration_cast<std::chrono::microseconds>(
+                             std::chrono::steady_clock::now() -
+                             session.begin_time)
+                             .count();
+      m.latency_us.Record(us);
+      t.latency_us.Record(us);
     } else {
       m.aborts[session.level_idx]++;
       t.aborts[session.level_idx]++;
@@ -1200,14 +1217,16 @@ std::string Server::BuildStats() {
   };
   g("uptime_s", uptime);
   g("throughput_tps", uptime > 0 ? m.Committed() / uptime : 0);
-  g("p50_us", PercentileUs(m.latency_us, 50));
-  g("p95_us", PercentileUs(m.latency_us, 95));
-  g("p99_us", PercentileUs(m.latency_us, 99));
+  // Latency percentiles are bucket upper bounds of load::Histogram: at
+  // most ~3% above the recorded sample.
+  g("p50_us", m.latency_us.Percentile(50));
+  g("p95_us", m.latency_us.Percentile(95));
+  g("p99_us", m.latency_us.Percentile(99));
   for (const auto& [type, t] : m.per_type) {
-    if (t.latency_us.empty()) continue;
-    g(StrCat("type.", type, ".p50_us"), PercentileUs(t.latency_us, 50));
-    g(StrCat("type.", type, ".p95_us"), PercentileUs(t.latency_us, 95));
-    g(StrCat("type.", type, ".p99_us"), PercentileUs(t.latency_us, 99));
+    if (t.latency_us.Count() == 0) continue;
+    g(StrCat("type.", type, ".p50_us"), t.latency_us.Percentile(50));
+    g(StrCat("type.", type, ".p95_us"), t.latency_us.Percentile(95));
+    g(StrCat("type.", type, ".p99_us"), t.latency_us.Percentile(99));
   }
   if (wal_) g("group_commit_mean_batch", wal_->stats().MeanBatchSize());
   return EncodeFrame(MsgType::kStatsOk, stats.Encode());

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "load/histogram.h"
 #include "net/event_loop.h"
 #include "net/wire.h"
 #include "sem/check/advisor.h"
@@ -116,7 +117,7 @@ struct ServerMetricsSnapshot {
   /// analysis would have negotiated.
   std::array<long, kIsoLevelCount> advisor_recommended{};
   long advisor_overridden = 0;  ///< explicit BEGINs whose level != recommended
-  std::vector<double> latency_us;  ///< BEGIN→commit, committed txns only
+  load::Histogram latency_us;  ///< BEGIN→commit, committed txns only
 
   /// Per-transaction-type split of the same lifecycle counters, keyed by
   /// the type resolved at BEGIN (after any server-side mix draw).
@@ -124,7 +125,7 @@ struct ServerMetricsSnapshot {
     long begins = 0;
     std::array<long, kIsoLevelCount> commits{};
     std::array<long, kIsoLevelCount> aborts{};
-    std::vector<double> latency_us;  ///< committed txns only
+    load::Histogram latency_us;  ///< committed txns only
   };
   std::map<std::string, TypeMetrics> per_type;
 
@@ -250,7 +251,6 @@ class Server {
   Store store_;
   LockManager locks_;
   TxnManager mgr_{&store_, &locks_};
-  CommitLog log_;
   std::unique_ptr<wal::WriteAheadLog> wal_;
   wal::RecoveryResult recovery_;
   /// Incremental §5 checker: hash-consed decision memo + per-(pair, level)

@@ -1,23 +1,11 @@
 #include "txn/executor.h"
 
-#include <algorithm>
 #include <chrono>
 #include <thread>
 
 #include "wal/wal.h"
 
 namespace semcor {
-
-double ExecStats::LatencyPercentileUs(double p) const {
-  if (latency_us.empty()) return 0;
-  std::vector<double> sorted = latency_us;
-  std::sort(sorted.begin(), sorted.end());
-  const double rank = (p / 100.0) * (sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - lo;
-  return sorted[lo] * (1 - frac) + sorted[hi] * frac;
-}
 
 void ExecStats::Merge(const ExecStats& other) {
   committed += other.committed;
@@ -34,8 +22,7 @@ void ExecStats::Merge(const ExecStats& other) {
   group_commit_batches += other.group_commit_batches;
   group_commit_batch_commits += other.group_commit_batch_commits;
   recovery_replayed_txns += other.recovery_replayed_txns;
-  latency_us.insert(latency_us.end(), other.latency_us.begin(),
-                    other.latency_us.end());
+  latency_us.Merge(other.latency_us);
   lock.Add(other.lock);
   if (lock_shards.size() < other.lock_shards.size()) {
     lock_shards.resize(other.lock_shards.size());
@@ -76,8 +63,9 @@ ExecStats ConcurrentExecutor::Run(const Generator& gen, int items_per_thread,
           StepOutcome outcome = run.RunToCompletion();
           if (outcome == StepOutcome::kCommitted) {
             const auto t1 = std::chrono::steady_clock::now();
-            stats.latency_us.push_back(
-                std::chrono::duration<double, std::micro>(t1 - t0).count());
+            stats.latency_us.Record(
+                std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
+                    .count());
             ++stats.committed;
             committed = true;
             break;

@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "fault/policy.h"
+#include "load/histogram.h"
 #include "lock/lock_manager.h"
 #include "txn/interpreter.h"
 
@@ -31,7 +32,7 @@ struct ExecStats {
   long ssi_aborts = 0;
   long ssi_false_positive_aborts = 0;
   long ssi_required_aborts = 0;
-  std::vector<double> latency_us;  ///< per committed txn, begin to commit
+  load::Histogram latency_us;  ///< per committed txn, begin to commit
 
   /// Lock-manager activity during the run (deltas, so back-to-back runs on
   /// one manager don't double-count): totals plus the per-shard break-down
@@ -57,8 +58,6 @@ struct ExecStats {
   double Throughput(double wall_seconds) const {
     return wall_seconds > 0 ? committed / wall_seconds : 0;
   }
-  double LatencyPercentileUs(double p) const;  ///< p in [0,100]
-
   void Merge(const ExecStats& other);
 };
 

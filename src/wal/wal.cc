@@ -389,7 +389,8 @@ WriteAheadLog::CommitHandle WriteAheadLog::LogCommit(
     case FsyncPolicy::kPerCommit:
       break;  // synced below, outside mu_
     case FsyncPolicy::kGroupCommit:
-      break;  // the epoch flusher picks it up
+      flusher_cv_.notify_one();  // the epoch flusher picks it up
+      break;
   }
 
   if (options_.checkpoint_every_bytes > 0 && !crashed_ &&
@@ -461,18 +462,24 @@ void WriteAheadLog::SyncUpTo(Lsn target, uint64_t target_commits) {
 
 void WriteAheadLog::FlusherLoop() {
   std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_ && !crashed_) {
-    flusher_cv_.wait_for(lock,
-                         std::chrono::microseconds(options_.group_commit_us),
-                         [&] { return stop_ || crashed_; });
-    if (stop_ || crashed_) break;
-    if (LsnLt(durable_lsn_, last_lsn_)) {
-      const Lsn target = last_lsn_;
-      const uint64_t commits = stats_.commits_logged;
-      lock.unlock();
-      SyncUpTo(target, commits);
-      lock.lock();
-    }
+  const auto done = [&] { return stop_ || crashed_; };
+  for (;;) {
+    // Only commits wait on durability: BEGIN, write and abort records ride
+    // along with the next commit's sync, so an idle or abort-only log never
+    // wakes the flusher. Stop syncs whatever is left.
+    flusher_cv_.wait(lock, [&] {
+      return done() || acked_commits_ < stats_.commits_logged;
+    });
+    if (done()) break;
+    // One epoch gathers the commits that race this one into its fsync.
+    flusher_cv_.wait_for(
+        lock, std::chrono::microseconds(options_.group_commit_us), done);
+    if (done()) break;
+    const Lsn target = last_lsn_;
+    const uint64_t commits = stats_.commits_logged;
+    lock.unlock();
+    SyncUpTo(target, commits);
+    lock.lock();
   }
   flusher_running_ = false;
 }

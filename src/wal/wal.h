@@ -51,7 +51,8 @@ bool ParseFsyncFailurePolicy(const std::string& name, FsyncFailurePolicy* out);
 
 struct WalOptions {
   FsyncPolicy fsync = FsyncPolicy::kGroupCommit;
-  /// Group-commit epoch length: the flusher syncs at most once per epoch.
+  /// Group-commit epoch length: the flusher sleeps until a commit record is
+  /// unsynced, waits one epoch for more commits to join it, then syncs.
   uint32_t group_commit_us = 100;
   /// Auto-checkpoint once the log grows past this many bytes (0 = manual
   /// checkpoints only).

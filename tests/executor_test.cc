@@ -7,28 +7,27 @@
 namespace semcor {
 namespace {
 
-TEST(ExecStatsTest, Percentiles) {
-  ExecStats stats;
-  stats.latency_us = {10, 20, 30, 40, 50, 60, 70, 80, 90, 100};
-  EXPECT_DOUBLE_EQ(stats.LatencyPercentileUs(0), 10);
-  EXPECT_DOUBLE_EQ(stats.LatencyPercentileUs(100), 100);
-  EXPECT_NEAR(stats.LatencyPercentileUs(50), 55, 1e-9);
-  EXPECT_EQ(ExecStats().LatencyPercentileUs(50), 0);
-}
-
-TEST(ExecStatsTest, Merge) {
+TEST(ExecStatsTest, MergeAddsCountersAndLatencyHistograms) {
   ExecStats a, b;
   a.committed = 3;
   a.aborted = 1;
-  a.latency_us = {1};
+  a.latency_us.Record(10);
   b.committed = 2;
   b.deadlocks = 4;
-  b.latency_us = {2, 3};
+  for (int64_t us : {20, 30, 1000}) b.latency_us.Record(us);
   a.Merge(b);
   EXPECT_EQ(a.committed, 5);
   EXPECT_EQ(a.aborted, 1);
   EXPECT_EQ(a.deadlocks, 4);
-  EXPECT_EQ(a.latency_us.size(), 3u);
+  EXPECT_EQ(a.latency_us.Count(), 4u);
+  // Percentiles come from the merged buckets; values below 64 are exact.
+  EXPECT_EQ(a.latency_us.Percentile(25), 10);
+  EXPECT_EQ(a.latency_us.Percentile(50), 20);
+  EXPECT_EQ(a.latency_us.Percentile(75), 30);
+  // Larger values report their bucket's upper bound, at most ~3% above.
+  EXPECT_GE(a.latency_us.Percentile(100), 1000);
+  EXPECT_LE(a.latency_us.Percentile(100), 1031);
+  EXPECT_EQ(ExecStats().latency_us.Percentile(50), 0);
 }
 
 class ExecutorTest : public ::testing::Test {

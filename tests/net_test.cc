@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/str_util.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "net/wire.h"
@@ -520,7 +521,7 @@ void RunSmoke(const std::string& workload, int threads, int txns_per_thread,
   EXPECT_EQ(m.Committed() + m.Aborted(),
             static_cast<long>(threads) * txns_per_thread);
   EXPECT_EQ(m.inflight, 0);
-  EXPECT_TRUE(server.InvariantHolds());
+  EXPECT_TRUE(server.InvariantHolds()) << workload;
 
   // The same numbers via the wire: STATS must agree with Metrics().
   Client control = MakeClient(server);
@@ -530,25 +531,98 @@ void RunSmoke(const std::string& workload, int threads, int txns_per_thread,
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats.value().Counter("committed"), committed);
   EXPECT_EQ(stats.value().Counter("aborted"), aborted);
-  EXPECT_EQ(stats.value().Counter("invariant_ok"), 1);
+  EXPECT_EQ(stats.value().Counter("invariant_ok"), 1) << workload;
   EXPECT_EQ(stats.value().Counter("injected_faults"), 0);
+  // Latency gauges come from the server's histograms: ordered, nonzero, and
+  // one per-type tail for every type that committed.
+  const double p50 = stats.value().Gauge("p50_us");
+  EXPECT_GT(p50, 0);
+  EXPECT_LE(p50, stats.value().Gauge("p95_us"));
+  EXPECT_LE(stats.value().Gauge("p95_us"), stats.value().Gauge("p99_us"));
+  for (const auto& [type, t] : m.per_type) {
+    long type_commits = 0;
+    for (long c : t.commits) type_commits += c;
+    if (type_commits == 0) continue;
+    EXPECT_GT(stats.value().Gauge(StrCat("type.", type, ".p99_us")), 0)
+        << type;
+  }
   server.Stop();
 }
 
-TEST(ServerTest, LoopbackSmokeBankingAndOrders) {
-  // 4 threads x (30 + 25) = 220 transactions total across two workloads at
-  // negotiated levels — banking lands on REPEATABLE READ, orders mixes
-  // levels per type (the §6 assignment).
+TEST(ServerTest, LoopbackSmokeBankingOrdersAndTpcc) {
+  // 4 threads x (30 + 25 + 20) = 300 transactions total across three
+  // workloads at negotiated levels — banking lands on REPEATABLE READ,
+  // orders and TPC-C mix levels per type (the §6 and §7 assignments).
   SmokeTally banking;
   RunSmoke("banking", 4, 30, &banking);
   SmokeTally orders;
   RunSmoke("orders", 4, 25, &orders);
+  SmokeTally tpcc;
+  RunSmoke("tpcc", 4, 20, &tpcc);
   long total = 0;
   for (int i = 0; i < kIsoLevelCount; ++i) {
-    total += banking.commits[i] + banking.aborts[i] + orders.commits[i] +
-             orders.aborts[i];
+    for (const SmokeTally* t : {&banking, &orders, &tpcc}) {
+      total += t->commits[i] + t->aborts[i];
+    }
   }
-  EXPECT_EQ(total, 4 * 30 + 4 * 25);
+  EXPECT_EQ(total, 4 * 30 + 4 * 25 + 4 * 20);
+}
+
+// ---------------------------------------------------------------------------
+// Wire parameters: typed by the transaction type's analysis scenario.
+// ---------------------------------------------------------------------------
+
+TEST(ServerTest, WireParamsAreTypedAndBadOnesRejected) {
+  ServerOptions options;
+  options.workload = "tpcc";
+  options.workers = 2;
+  Server server(options);
+  ASSERT_TRUE(server.Start().ok());
+  Client client = MakeClient(server);
+  ASSERT_TRUE(client.Connect().ok());
+  ASSERT_TRUE(client.Hello().ok());
+  const uint8_t ser = static_cast<uint8_t>(IsoLevel::kSerializable);
+  std::vector<std::pair<std::string, int64_t>> order = {
+      {"d", 0}, {"c", 0}, {"item", 1}, {"supply_w", 0}, {"qty", 2}};
+  auto with = [&order](const std::string& key, int64_t v) {
+    std::vector<std::pair<std::string, int64_t>> params = order;
+    params.emplace_back(key, v);
+    return params;
+  };
+  const std::string bad_request = StrCat(
+      "server error ", static_cast<uint16_t>(WireError::kBadRequest), ":");
+
+  // rollback is a Bool in the scenario: 0 commits, 1 is a user abort.
+  Result<TxnResult> run = client.RunTxn("TNewOrder", ser, with("rollback", 0));
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_TRUE(run.value().committed) << run.value().detail;
+  run = client.RunTxn("TNewOrder", ser, with("rollback", 1));
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_FALSE(run.value().committed);
+  EXPECT_NE(run.value().detail.find("explicit abort"), std::string::npos)
+      << run.value().detail;
+
+  // A key the scenario does not declare, and a missing required key.
+  Result<BeginResult> begin = client.Begin("TNewOrder", ser, with("bogus", 1));
+  ASSERT_FALSE(begin.ok());
+  EXPECT_NE(begin.status().message().find(bad_request), std::string::npos)
+      << begin.status().ToString();
+  begin = client.Begin("TNewOrder", ser,
+                       {{"c", 0}, {"item", 1}, {"supply_w", 0}, {"qty", 2}});
+  ASSERT_FALSE(begin.ok());
+  EXPECT_NE(begin.status().message().find(bad_request), std::string::npos)
+      << begin.status().ToString();
+
+  // The session and the server keep serving; rollback stays optional.
+  run = client.RunTxn("TNewOrder", ser, order);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_TRUE(run.value().committed) << run.value().detail;
+  const ServerMetricsSnapshot m = server.Metrics();
+  EXPECT_EQ(m.Committed(), 2);
+  EXPECT_EQ(m.Aborted(), 1);
+  EXPECT_EQ(m.inflight, 0);
+  EXPECT_TRUE(server.InvariantHolds());
+  server.Stop();
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -403,6 +404,34 @@ TEST(WalTest, GroupCommitAcksEveryCommitAndBatchesFsyncs) {
   EXPECT_EQ(stats.batch_commits, stats.commits_logged);
   EXPECT_GE(stats.group_commit_batches, 1u);
   EXPECT_GE(stats.MeanBatchSize(), 1.0);
+}
+
+TEST(WalTest, GroupCommitFlusherSleepsUntilACommitWaits) {
+  World world;
+  WalOptions opts;
+  opts.fsync = wal::FsyncPolicy::kGroupCommit;
+  opts.group_commit_us = 100;
+  WriteAheadLog wal(std::make_unique<MemDevice>(), &world.store, opts);
+  wal.Start();
+
+  // No commit waits on BEGIN, write or abort records: 20 ms of idling
+  // (200 epochs) after them must not fsync.
+  wal.LogBegin(1, IsoLevel::kSerializable);
+  wal.LogItemWrite(1, "x", Value::Int(0));
+  wal.LogAbort(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(wal.stats().fsyncs, 0u);
+  EXPECT_EQ(wal.durable_lsn(), 0u);
+
+  // The next commit's sync covers those earlier records too: LSNs start at
+  // 1, so every appended record is durable once durable_lsn == appends.
+  world.mgr.SetWal(&wal);
+  EXPECT_TRUE(CommitWrite(&world.mgr, IsoLevel::kSerializable, "y", 1));
+  world.mgr.SetWal(nullptr);
+  const wal::WalStats stats = wal.stats();
+  EXPECT_EQ(stats.fsyncs, 1u);
+  EXPECT_EQ(wal.durable_lsn(), stats.appends);
+  wal.Stop();
 }
 
 TEST(WalTest, OpenDirRecoversAcrossProcessRestart) {
